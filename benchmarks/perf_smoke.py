@@ -5,18 +5,13 @@ Measures the hot paths the vectorized scheduling core owns:
 
 * ``greedy_<n>x<C>`` — wall time of one full ``schedule_batch`` at
   {1k, 10k} requests x {100, 500} cache blocks (the Fig. 16
-  configuration; the 10k x 500 cell is the acceptance metric), under
-  the active ``--sampler``;
-* ``greedy_draws_10000x500`` / ``greedy_draws_fenwick_10000x500`` —
-  draw-loop-only time (``schedule_batch`` excluding the distribution
-  install) for the active sampler and for the Fenwick sampler, so the
-  O(log m) tail-draw speedup is gated directly;
-* ``greedy_draws_head_10000x500`` /
-  ``greedy_draws_head_fenwick_10000x500`` — the same draw-loop time on
-  a short-slot workload (1 ms slots against the 4 paper horizons)
-  where *every* draw lands before the last prediction horizon, so the
-  horizon forest's head draws are gated directly against the
-  vectorized kernel;
+  configuration; the 10k x 500 cell is the acceptance metric);
+* ``greedy_draws_10000x500`` — draw-loop-only time (``schedule_batch``
+  excluding the distribution install);
+* ``greedy_draws_head_10000x500`` — the same draw-loop time on a
+  short-slot workload (1 ms slots against the 4 paper horizons) where
+  *every* draw lands before the last prediction horizon, so the
+  interpolated head rows are gated too;
 * ``fleet_tick_N<N>`` — mean wall time per 150 ms fleet prediction
   interval for a batched static fleet at N in {8, 32} sessions
   (prediction collect + stacked recompute + the scheduling it
@@ -53,11 +48,10 @@ Measures the hot paths the vectorized scheduling core owns:
   isolates the decode stage the same way ``greedy_draws_*`` isolates
   the draw loop.
 
-The emitted JSON carries a ``config`` section (active sampler mode and
-the fleet's decode-batching flag) so any regression is attributable to
-the configuration that produced it; results and baselines are
-per-sampler files (``BENCH_sched[_<sampler>].json``) so CI can gate
-the vectorized and fenwick production paths side by side.  Raw
+The emitted JSON (``BENCH_sched.json``, gated against the committed
+``BENCH_sched_baseline.json``) carries a ``config`` section (the
+fleet's decode-batching flag and shard count) so any regression is
+attributable to the configuration that produced it.  Raw
 milliseconds are emitted for humans; the regression gate compares
 *normalized* scores (metric / a fixed numpy probe measured on the same
 machine) so the committed baseline transfers across hardware.
@@ -67,15 +61,12 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py                 # measure
     PYTHONPATH=src python benchmarks/perf_smoke.py --check         # CI gate
     PYTHONPATH=src python benchmarks/perf_smoke.py --update-baseline
-    PYTHONPATH=src python benchmarks/perf_smoke.py --sampler fenwick --greedy-only
     PYTHONPATH=src python benchmarks/perf_smoke.py --alloc-probe
 
 ``--check`` exits non-zero when any normalized score exceeds
 ``--threshold`` (default 2.0) times the committed baseline, and prints
 the full normalized delta table so the offending metric is visible in
-CI logs.  ``--greedy-only`` skips the fleet benchmarks (used by the
-second CI pass, which re-gates only the sampler-dependent metrics
-under ``--sampler fenwick``).
+CI logs.
 
 ``--alloc-probe`` reports the allocator-block cost of holding ten full
 10x500-block schedules (``sys.getallocatedblocks`` delta around the
@@ -103,7 +94,7 @@ import numpy as np
 RESULTS_DIR = Path(__file__).parent / "results"
 
 GREEDY_CASES = [(1_000, 100), (1_000, 500), (10_000, 100), (10_000, 500)]
-#: The acceptance cell for the draws-only sampler comparisons.
+#: The acceptance cell for the draws-only metrics.
 DRAWS_CASE = (10_000, 500)
 #: Slot durations for the tail-dominated (Fig. 16) and head-dominated
 #: draws-only workloads.  At 1 ms slots every offset in a 500-block
@@ -150,14 +141,8 @@ CHECKPOINT_OVERHEAD_MAX = 1.10
 REPEATS = 3
 
 
-def result_path(sampler: str) -> Path:
-    suffix = "" if sampler == "vectorized" else f"_{sampler}"
-    return RESULTS_DIR / f"BENCH_sched{suffix}.json"
-
-
-def baseline_path(sampler: str) -> Path:
-    suffix = "" if sampler == "vectorized" else f"_{sampler}"
-    return RESULTS_DIR / f"BENCH_sched_baseline{suffix}.json"
+RESULT_PATH = RESULTS_DIR / "BENCH_sched.json"
+BASELINE_PATH = RESULTS_DIR / "BENCH_sched_baseline.json"
 
 
 def machine_probe_ms() -> float:
@@ -186,7 +171,7 @@ def _draws_case_setup():
     return n, cache, dist, gains
 
 
-def bench_greedy(sampler: str) -> dict[str, float]:
+def bench_greedy() -> dict[str, float]:
     from repro.core.greedy import GreedyScheduler
     from repro.core.scheduler import GainTable
     from repro.core.utility import LinearUtility
@@ -199,9 +184,7 @@ def bench_greedy(sampler: str) -> dict[str, float]:
         best = float("inf")
         best_draws = float("inf")
         for _ in range(REPEATS):
-            scheduler = GreedyScheduler(
-                gains, cache_blocks=cache, sampler=sampler, seed=0
-            )
+            scheduler = GreedyScheduler(gains, cache_blocks=cache, seed=0)
             start = time.perf_counter()
             scheduler.update_distribution(dist, slot_duration_s=TAIL_SLOT_S)
             mid = time.perf_counter()
@@ -214,51 +197,25 @@ def bench_greedy(sampler: str) -> dict[str, float]:
         if (n, cache) == DRAWS_CASE:
             out[f"greedy_draws_{n}x{cache}"] = best_draws * 1e3
     out[f"greedy_draws_head_{DRAWS_CASE[0]}x{DRAWS_CASE[1]}"] = (
-        _draws_only(sampler, HEAD_SLOT_S) * 1e3
+        _draws_only(HEAD_SLOT_S) * 1e3
     )
     return out
 
 
-def _draws_only(sampler: str, slot_s: float) -> float:
+def _draws_only(slot_s: float) -> float:
     """Best draw-loop time on the acceptance cell at ``slot_s`` slots."""
     from repro.core.greedy import GreedyScheduler
 
     n, cache, dist, gains = _draws_case_setup()
     best = float("inf")
     for _ in range(REPEATS):
-        scheduler = GreedyScheduler(
-            gains, cache_blocks=cache, sampler=sampler, seed=0
-        )
+        scheduler = GreedyScheduler(gains, cache_blocks=cache, seed=0)
         scheduler.update_distribution(dist, slot_duration_s=slot_s)
         start = time.perf_counter()
         schedule = scheduler.schedule_batch()
         best = min(best, time.perf_counter() - start)
         assert len(schedule) == cache
-        if sampler == "fenwick":
-            # The horizon forest must serve every draw; a fallback to
-            # the O(m) kernel would silently invalidate the metric.
-            assert scheduler.draw_counts["vectorized"] == 0
     return best
-
-
-def bench_fenwick_draws() -> dict[str, float]:
-    """Draw-loop time of the Fenwick sampler on the acceptance cell.
-
-    Measured unconditionally (whatever ``--sampler`` is active) so the
-    committed baseline always gates the O(log m) path — tail-dominated
-    and head-dominated variants.
-    """
-    n, cache = DRAWS_CASE
-    return {
-        f"greedy_draws_fenwick_{n}x{cache}": _draws_only(
-            "fenwick", TAIL_SLOT_S
-        )
-        * 1e3,
-        f"greedy_draws_head_fenwick_{n}x{cache}": _draws_only(
-            "fenwick", HEAD_SLOT_S
-        )
-        * 1e3,
-    }
 
 
 def _tick_cost(app, traces, env) -> float:
@@ -600,37 +557,15 @@ def alloc_probe() -> dict[str, float]:
     }
 
 
-def measure(
-    sampler: str = "vectorized",
-    batched_decode: bool = True,
-    greedy_only: bool = False,
-    shards: int = 2,
-) -> dict:
+def measure(batched_decode: bool = True, shards: int = 2) -> dict:
     probe = machine_probe_ms()
-    metrics = bench_greedy(sampler)
-    n, cache = DRAWS_CASE
-    if sampler == "fenwick":
-        # The active-sampler draws metrics already are the fenwick ones.
-        metrics[f"greedy_draws_fenwick_{n}x{cache}"] = metrics[
-            f"greedy_draws_{n}x{cache}"
-        ]
-        metrics[f"greedy_draws_head_fenwick_{n}x{cache}"] = metrics[
-            f"greedy_draws_head_{n}x{cache}"
-        ]
-    else:
-        metrics.update(bench_fenwick_draws())
-    config = {
-        "sampler": sampler,
-        "batched_decode": batched_decode,
-        "greedy_only": greedy_only,
-    }
-    if not greedy_only:
-        metrics.update(bench_fleet_tick(batched_decode))
-        metrics.update(bench_fleet_sharded(shards))
-        metrics.update(bench_fleet_checkpoint(shards))
-        # Recorded (and compared by --check) so a W=4 scaling run can
-        # never be gated against the committed W=2 baseline.
-        config["shards"] = shards
+    metrics = bench_greedy()
+    metrics.update(bench_fleet_tick(batched_decode))
+    metrics.update(bench_fleet_sharded(shards))
+    metrics.update(bench_fleet_checkpoint(shards))
+    # ``shards`` is recorded (and compared by --check) so a W=4 scaling
+    # run can never be gated against the committed W=2 baseline.
+    config = {"batched_decode": batched_decode, "shards": shards}
     return {
         "probe_ms": probe,
         "config": config,
@@ -699,20 +634,9 @@ def main() -> int:
     )
     parser.add_argument("--threshold", type=float, default=2.0)
     parser.add_argument(
-        "--sampler",
-        default="vectorized",
-        choices=("reference", "vectorized", "fenwick"),
-        help="greedy draw kernel for the greedy_* metrics",
-    )
-    parser.add_argument(
         "--no-batched-decode",
         action="store_true",
         help="disable the fleet's stacked predictor decode",
-    )
-    parser.add_argument(
-        "--greedy-only",
-        action="store_true",
-        help="skip the fleet benchmarks (sampler-path CI pass)",
     )
     parser.add_argument(
         "--shards",
@@ -734,15 +658,9 @@ def main() -> int:
             print(f"  {key:<28} {value}")
         return 0
 
-    result = measure(
-        sampler=args.sampler,
-        batched_decode=not args.no_batched_decode,
-        greedy_only=args.greedy_only,
-        shards=args.shards,
-    )
+    result = measure(batched_decode=not args.no_batched_decode, shards=args.shards)
     RESULTS_DIR.mkdir(exist_ok=True)
-    out_path = result_path(args.sampler)
-    out_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    RESULT_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
 
     print(f"machine probe: {result['probe_ms']:.2f} ms")
     print(f"config: {result['config']}")
@@ -754,18 +672,17 @@ def main() -> int:
                 f"  {key:<34} {result['metrics_ms'][key]:8.2f} ms   "
                 f"(normalized {result['normalized'][key]:.3f})"
             )
-    print(f"wrote {out_path}")
+    print(f"wrote {RESULT_PATH}")
 
-    base_path = baseline_path(args.sampler)
     if args.update_baseline:
-        base_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {base_path}")
+        BASELINE_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {BASELINE_PATH}")
 
     if args.check:
-        if not base_path.exists():
-            print(f"no baseline at {base_path}; run with --update-baseline first")
+        if not BASELINE_PATH.exists():
+            print(f"no baseline at {BASELINE_PATH}; run with --update-baseline first")
             return 2
-        baseline = json.loads(base_path.read_text())
+        baseline = json.loads(BASELINE_PATH.read_text())
         failures = check(result, baseline, args.threshold)
         if failures:
             print("PERF REGRESSION:")

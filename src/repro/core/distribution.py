@@ -230,9 +230,7 @@ class RequestDistribution:
         as :meth:`interp_weights_vec`, so the split is exactly the
         clamped set that helper produces.  With a single horizon every
         row is a copy, so ``head == tail == 0`` — the whole range is
-        tail.  Shared by the fleet's stacked probability pass and the
-        scheduler's Fenwick sampler (which exploits the tail rows being
-        proportional to the last-horizon row).
+        tail.  Used by the fleet's stacked probability pass.
         """
         offsets = np.asarray(offsets_s, dtype=float)
         if len(self.deltas_s) == 1:
@@ -240,33 +238,6 @@ class RequestDistribution:
         head = int(np.searchsorted(offsets, self.deltas_s[0], side="right"))
         tail = int(np.searchsorted(offsets, self.deltas_s[-1], side="left"))
         return head, max(head, tail)
-
-    def horizon_weights(self, offsets_s: np.ndarray) -> np.ndarray:
-        """Per-horizon mass split of each offset's interpolated row.
-
-        Returns ``W`` of shape ``(len(offsets_s), k)`` whose row ``j``
-        is the convex decomposition of the offset's distribution onto
-        the stored horizons: the interpolated explicit row at
-        ``offsets_s[j]`` equals ``W[j] @ explicit_probs`` and its
-        residual equals ``W[j] @ residual``.  Rows sum to 1; clamped
-        offsets put all mass on the edge horizon, interior offsets
-        split ``(1 − w, w)`` across the bracketing pair (the same
-        weights :meth:`interp_weights_vec` produces).
-
-        This is the algebraic fact the scheduler's horizon-forest
-        sampler rests on: because every slot's probability row is a
-        linear combination of the ``k`` horizon rows, a reverse
-        cumulative sum of these coefficient rows turns the whole
-        remaining-batch matrix into ``k`` fixed per-horizon mass
-        vectors weighted by per-slot scalars — one Fenwick tree per
-        horizon then answers any slot's draw.
-        """
-        lo, hi, w = self.interp_weights_vec(offsets_s)
-        out = np.zeros((len(lo), len(self.deltas_s)))
-        rows = np.arange(len(lo))
-        out[rows, lo] += 1.0 - w
-        out[rows, hi] += w
-        return out
 
     def explicit_matrix(self, deltas_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`explicit_at` over many horizons.

@@ -26,8 +26,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .distribution import RequestDistribution
 from .scheduler import GainTable, ScheduledBlock
@@ -83,6 +81,11 @@ class ILPScheduler:
         self.C = cache_blocks
         self.w = bandwidth_blocks
         self.gamma = gamma
+        # scipy is imported here and in solve(), not at module level: it
+        # is the bulk of ``import repro`` time and only this solver needs
+        # it.  Loading it at construction keeps the one-off import out of
+        # timed solve() calls (Figs. 15 and 17).
+        import scipy.optimize  # noqa: F401
 
     # -- problem construction -----------------------------------------
 
@@ -124,6 +127,9 @@ class ILPScheduler:
         time_limit_s: Optional[float] = None,
     ) -> ILPSolution:
         """Build and solve the ILP; returns the slot-ordered schedule."""
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         if slot_duration_s <= 0:
             raise ValueError("slot duration must be positive")
         n, C = self.gains.n, self.C

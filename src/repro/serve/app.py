@@ -138,7 +138,6 @@ class KhameleonServeApp:
         rows: int = 12,
         cols: int = 12,
         predictor: str = "kalman",
-        sampler: str = "vectorized",
         host: str = "127.0.0.1",
         port: int = 0,
         prior: Optional[SharedTransitionPrior] = None,
@@ -165,7 +164,6 @@ class KhameleonServeApp:
             )
         self.fleet_env = fleet_env
         self.predictor = predictor
-        self.sampler = sampler
         self.host = host
         self.port = port
         self.app = ImageExplorationApp(rows, cols)
@@ -242,7 +240,6 @@ class KhameleonServeApp:
         session_cfg = SessionConfig(
             cache_bytes=env.cache_bytes,
             block_bytes=self.app.block_bytes,
-            sampler=self.sampler,
             initial_bandwidth_bytes_per_s=env.bandwidth_bytes_per_s,
         )
         # Arrivals come from real sockets, not a planned process: a
@@ -833,8 +830,7 @@ def create_app(fleet_env: FleetEnvironment, **kwargs) -> KhameleonServeApp:
     ``fleet_env`` carries the environment (bandwidth, latency, cache),
     the expected population (``num_sessions``), the shared backend
     budget, and — via ``arrival.max_concurrent`` — the admission cap.
-    Keyword arguments (grid size, predictor, sampler, host/port, a
-    pre-warmed crowd prior) are forwarded to
-    :class:`KhameleonServeApp`.
+    Keyword arguments (grid size, predictor, host/port, a pre-warmed
+    crowd prior) are forwarded to :class:`KhameleonServeApp`.
     """
     return KhameleonServeApp(fleet_env, **kwargs)

@@ -1,5 +1,10 @@
 """Tests for the figure-regeneration CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -56,6 +61,21 @@ class TestCLI:
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig6", "--scale", "galactic"])
+
+    def test_import_does_not_load_scipy(self):
+        """scipy serves only the ILP solver, so importing the CLI (which
+        every shard worker and served process does) must not pay for it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestServeCLI:

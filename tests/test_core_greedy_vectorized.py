@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from repro.core import (
     GainTable,
@@ -302,3 +303,57 @@ class TestExpectedUtilityEquivalence:
             expected_utility([], dist, gains, 0.0)
         with pytest.raises(ValueError):
             expected_utility([], dist, gains, 0.01, gamma=1.5)
+
+
+def skewed_dist(n, seed=0, k_explicit=10, residual=0.2, deltas=(0.05,)):
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(n, size=k_explicit, replace=False)).astype(np.int64)
+    raw = rng.random((len(deltas), k_explicit)) + 0.05
+    probs = (1.0 - residual) * raw / raw.sum(axis=1, keepdims=True)
+    return RequestDistribution(
+        n=n,
+        deltas_s=np.asarray(deltas, dtype=float),
+        explicit_ids=ids,
+        explicit_probs=probs,
+        residual=np.full(len(deltas), residual),
+    )
+
+
+class TestFirstDrawFrequencies:
+    """Chi-squared: ``schedule_batch`` first-draw frequencies vs the
+    Listing-1 weights (explicit requests plus the meta bucket), over
+    repeated draw/rollback trials.
+
+    With a single horizon every slot is a tail slot (a copy of the last
+    horizon row); with two horizons whose last lies past the batch end
+    every slot is an interpolated head slot.
+    """
+
+    TRIALS = 4000
+
+    def _check(self, deltas, seed):
+        dist = skewed_dist(60, seed=2, deltas=deltas)
+        gains = GainTable(LinearUtility(), [3] * 60)
+        sched = GreedyScheduler(gains, cache_blocks=24, seed=seed)
+        sched.update_distribution(dist, 0.01)
+        m = len(sched._ids)
+        weights = np.concatenate(
+            [sched._Pmat[0, :m] * sched._gain[:m], [sched._meta_weight()]]
+        )
+        explicit_pos = {int(r): i for i, r in enumerate(sched._ids)}
+        counts = np.zeros(len(weights))
+        for _ in range(self.TRIALS):
+            batch = sched.schedule_batch(1)
+            assert len(batch) == 1
+            counts[explicit_pos.get(batch[0].request, len(weights) - 1)] += 1
+            sched.rollback(batch)
+        expected = self.TRIALS * weights / weights.sum()
+        assert (expected > 5).all()  # chi-squared validity
+        result = stats.chisquare(counts, expected)
+        assert result.pvalue > 1e-3, result
+
+    def test_first_tail_draw_matches_weights(self):
+        self._check(deltas=(0.05,), seed=11)
+
+    def test_first_head_draw_matches_weights(self):
+        self._check(deltas=(0.05, 0.25), seed=13)
