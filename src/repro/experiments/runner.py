@@ -33,18 +33,16 @@ from repro.encoding.naive import SingleBlockEncoder
 from repro.backends.filesystem import FileSystemBackend
 from repro.fleet import KhameleonFleet
 from repro.fleet.checkpoint import (
-    CTRL_KEY,
     CheckpointConfig,
     CheckpointStore,
     FleetCheckpoint,
     ShardCheckpoint,
     capture_session,
     capture_shard,
-    migrate_out_of,
-    split_ctrl,
     unwrap_sync_payload,
     wrap_sync_payload,
 )
+from repro.fleet.lifecycle import plan_horizon_s
 from repro.fleet.sharding import SupervisionPolicy
 from repro.metrics.collector import MetricSummary, collect, convergence_curve, overpush_rate
 from repro.metrics.fleet import (
@@ -92,8 +90,7 @@ __all__ = [
 DEFAULT_DRAIN_S = 3.0
 
 #: Default worker supervision for the sharded fleet path: two restarts
-#: per shard with exponential backoff.  Pass ``supervision=None`` to
-#: :func:`run_fleet_sharded` for the original die-together behaviour.
+#: per shard with exponential backoff.
 _DEFAULT_SUPERVISION = SupervisionPolicy()
 
 
@@ -551,8 +548,8 @@ class ShardFleetSpec:
     attempt: int = 0
     #: Capture a :class:`~repro.fleet.checkpoint.ShardCheckpoint` every
     #: this many completed sync rounds and piggyback it on the barrier
-    #: exchange (0 = checkpointing off: barrier payloads stay exactly
-    #: the historical bare deltas, bit-identical to pre-checkpoint runs).
+    #: exchange (0 = checkpointing off: the payload's checkpoint field
+    #: stays ``None``).
     checkpoint_cadence: int = 0
     #: Global index of ``sync_points[0]`` in the full barrier schedule
     #: (respawned workers run a suffix; checkpoints carry global rounds).
@@ -584,13 +581,6 @@ class ShardFleetSpec:
     #: replays the same retirement at the same sim time instead, so its
     #: deterministic restore matches the stored digests.
     grow_to: Optional[tuple[int, int, float]] = None
-    #: Adoption orders re-applied on respawn: a worker that previously
-    #: adopted a lost shard's sessions (via a ``peers``-borne control
-    #: message) must re-adopt them at the same sim time when it is
-    #: itself replaced, or its replay would silently drop them.  Each
-    #: entry is ``{"checkpoint": <ShardCheckpoint payload>,
-    #: "indices": [...], "at_s": float}``.
-    adopt_orders: tuple = ()
 
 
 def _shard_owned(total: int, shard: int, num_shards: int) -> list[int]:
@@ -605,13 +595,14 @@ def _suffix_trace(
     """The remainder of ``trace`` after its first ``requests_seen``
     requests, shifted to start no earlier than ``not_before_s``.
 
-    This is how a migrated session resumes from its checkpointed
-    sequence position: the first ``requests_seen`` request-bearing
-    events (and the observe-only samples interleaved before them) are
-    already served and drop out; everything after replays at its
-    original absolute sim time, clamped up to the adoption point (the
-    clamp is monotone, so event order survives).  Returns ``None`` for
-    a session with no requests left — finished sessions don't migrate.
+    This is how a session moved to a mid-run joiner resumes from its
+    checkpointed sequence position: the first ``requests_seen``
+    request-bearing events (and the observe-only samples interleaved
+    before them) are already served and drop out; everything after
+    replays at its original absolute sim time, clamped up to the join
+    barrier (the clamp is monotone, so event order survives).  Returns
+    ``None`` for a session with no requests left — finished sessions
+    don't migrate.
     """
     seen = 0
     remainder: list[TraceEvent] = []
@@ -760,39 +751,7 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
             last_round = round_index
             return ckpt
 
-        migrated_in: list[int] = []
-        migrated_out: list[int] = []
-
-        def adopt_sessions(order: dict, at_s: float, record: bool = True) -> None:
-            """Take over a lost shard's sessions from its checkpoint.
-
-            Each adopted session is admitted into this worker's live
-            fleet and resumes from its checkpointed request position:
-            the suffix of its trace replays at absolute sim times,
-            clamped up to the adoption barrier (events the dead shard
-            would have served between its last checkpoint and now fire
-            immediately — late, but not lost).
-            """
-            ckpt = ShardCheckpoint.from_payload(order["checkpoint"])
-            wanted = set(order.get("indices", ()))
-            for sc in ckpt.sessions:
-                if sc.index not in wanted:
-                    continue
-                suffix = _suffix_trace(
-                    spec.traces[sc.index], sc.requests_seen, at_s
-                )
-                if suffix is None:
-                    continue  # finished before the crash; nothing to resume
-                fleet._admit_session(sc.index)
-                session = fleet.sessions[-1]
-                session.start()
-                _replay(
-                    sim, suffix, session.client.observe, session.client.request
-                )
-                if record:
-                    migrated_in.append(sc.index)
-
-        def donate_sessions(at_s: float, record: bool = True) -> dict:
+        def donate_sessions(at_s: float) -> dict:
             """Capture-and-retire every owned session the grown ring
             routes to the joining member; ship the checkpoints."""
             new_w = spec.grow_to[0]
@@ -808,8 +767,6 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
                 moving.append((session, sc))
             for session, _sc in moving:
                 fleet._retire_session(session)
-            if record:
-                migrated_out.extend(sc.index for _, sc in moving)
             return {
                 "from_shard": k,
                 "at_s": at_s,
@@ -817,10 +774,9 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
             }
 
         # Deterministic pre-steps for replacement workers, replayed in
-        # sim-time order before the barrier suffix: re-apply adoptions
-        # this worker's predecessor performed, re-retire sessions it
-        # donated to a joiner, and pause at the restore checkpoint to
-        # verify the replay against the stored digests.
+        # sim-time order before the barrier suffix: re-retire sessions
+        # the predecessor donated to a joiner, and pause at the restore
+        # checkpoint to verify the replay against the stored digests.
         pre_steps: list[tuple[float, int, Callable[[], None]]] = []
 
         def verify_restore() -> None:
@@ -839,50 +795,20 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
             ckpt_cpu += time.process_time() - cpu_start
             state["restore_verified"] = ours.digest() == spec.restore.digest()
 
-        for order in spec.adopt_orders:
-            pre_steps.append(
-                (
-                    float(order["at_s"]),
-                    0,
-                    lambda o=order: (
-                        run_chunk(float(o["at_s"])),
-                        adopt_sessions(o, float(o["at_s"]), record=False),
-                    ),
-                )
-            )
         if spec.grow_to is not None and spec.first_round > spec.grow_to[1]:
             at_s = spec.grow_to[2]
             pre_steps.append(
-                (
-                    at_s,
-                    1,
-                    lambda: (
-                        run_chunk(at_s),
-                        donate_sessions(at_s, record=False),
-                    ),
-                )
+                (at_s, 0, lambda: (run_chunk(at_s), donate_sessions(at_s)))
             )
         if spec.restore is not None and spec.restore.sim_time_s < until:
-            # Ordered after same-time adoptions/donations: the restore
-            # capture that produced the digests ran after them too.
-            pre_steps.append((spec.restore.sim_time_s, 2, verify_restore))
+            # Ordered after a same-time donation: the restore capture
+            # that produced the digests ran after it too.
+            pre_steps.append((spec.restore.sim_time_s, 1, verify_restore))
         for _, _, step in sorted(pre_steps, key=lambda p: (p[0], p[1])):
             step()
 
         rounds_run = 0
         drained = False
-
-        def exchange(payload) -> list:
-            """One barrier, with coordinator control orders peeled off
-            the peers list: adoption orders for a lost shard's sessions
-            apply here, at the barrier's sim time, before the next
-            chunk runs."""
-            peers = channel.exchange(payload)
-            data, ctrl = split_ctrl(peers)
-            for order in ctrl:
-                if order.get(CTRL_KEY) == "adopt":
-                    adopt_sessions(order, sim.now)
-            return data
 
         for local_index, point in enumerate(spec.sync_points):
             round_index = spec.first_round + local_index
@@ -895,33 +821,17 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
             migrate = None
             if spec.grow_to is not None and round_index == spec.grow_to[1]:
                 migrate = donate_sessions(point)
-            if cadence > 0 or migrate is not None:
-                # Checkpointing on (or a migration to announce): the
-                # capture rides the barrier payload next to the prior
-                # delta.
-                ckpt = None
-                if cadence > 0 and (round_index + 1) % cadence == 0:
-                    ckpt = capture(round_index, point)
-                delta = None
-                if prior is not None:
-                    delta = prior.delta_since(sent_vv)
-                    sent_vv = prior.local_version_vector()
-                for peer in exchange(wrap_sync_payload(delta, ckpt, migrate)):
-                    peer_delta, _peer_ckpt = unwrap_sync_payload(peer)
-                    if peer_delta and prior is not None:
-                        prior.merge_delta(peer_delta)
-            elif prior is not None:
+            ckpt = None
+            if cadence > 0 and (round_index + 1) % cadence == 0:
+                ckpt = capture(round_index, point)
+            delta = None
+            if prior is not None:
                 delta = prior.delta_since(sent_vv)
                 sent_vv = prior.local_version_vector()
-                for peer in exchange(delta):
-                    # Peers may wrap (a donor announcing a migration
-                    # checkpoints regardless of cadence); unwrap is a
-                    # pass-through for the historical bare deltas.
-                    peer_delta, _peer_ckpt = unwrap_sync_payload(peer)
-                    if peer_delta:
-                        prior.merge_delta(peer_delta)
-            else:
-                exchange(None)
+            for peer in channel.exchange(wrap_sync_payload(delta, ckpt, migrate)):
+                peer_delta, _peer_ckpt = unwrap_sync_payload(peer)
+                if peer_delta and prior is not None:
+                    prior.merge_delta(peer_delta)
             if (
                 spec.drain_after_round is not None
                 and round_index == spec.drain_after_round
@@ -940,8 +850,6 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
             final_round = spec.first_round + max(rounds_run - 1, 0)
             state["final_checkpoint"] = capture(final_round, sim.now)
         state["drained"] = drained
-        state["migrated_in"] = sorted(migrated_in)
-        state["migrated_out"] = sorted(migrated_out)
         state["checkpoints_taken"] = taken
         state["checkpoint_cpu_s"] = ckpt_cpu
         state["last_checkpoint_round"] = last_round
@@ -980,8 +888,6 @@ def _sharded_fleet_worker(spec: ShardFleetSpec, channel) -> dict:
         "num_sessions": len(fleet.sessions),
         "timing": state["timing"],
         "drained": state.get("drained", False),
-        "migrated_in": state.get("migrated_in", []),
-        "migrated_out": state.get("migrated_out", []),
         "resumed_sessions": state.get("resumed_sessions", 0),
         "restore_verified": state.get("restore_verified"),
         "checkpoints_taken": state.get("checkpoints_taken", 0),
@@ -1009,7 +915,7 @@ def run_fleet_sharded(
     shared_prior=None,
     prior_out=None,
     timeout_s: Optional[float] = 600.0,
-    supervision: Optional["SupervisionPolicy"] = _DEFAULT_SUPERVISION,
+    supervision: SupervisionPolicy = _DEFAULT_SUPERVISION,
     transport: "str | Any" = "pipe",
     join_at_round: Optional[int] = None,
     partition_heal_s: float = 1.0,
@@ -1064,18 +970,16 @@ def run_fleet_sharded(
     ``"tcp"``; partitions are cut at the named barrier and heal after
     ``partition_heal_s`` wall seconds.
 
-    Membership is elastic both ways.  A shard lost past its restart
-    budget has its checkpointed sessions *migrated*: the consistent-hash
-    ring minus the dead member routes each session to a survivor, which
-    adopts it mid-run via a control order on the next barrier broadcast
-    (``sessions_migrated`` in the pooled report, instead of the re-absorb
-    epilogue — which remains as the fallback when no barrier is left to
-    carry the order).  ``join_at_round=R`` grows the fleet instead: a
-    fresh worker joins after barrier R, and every session the grown
-    ring routes to it is captured, retired by its donor, and resumed by
-    the joiner from its checkpointed request position.
+    A shard lost past its restart budget has one recovery path: after
+    the run, its slice is replayed from its last checkpoint as a
+    barrier-free task built by the same factory supervision respawns
+    with (so a lost mid-run joiner keeps its route and suffix traces),
+    and the pooled report conserves every request.  Membership grows
+    with ``join_at_round=R``: a fresh worker joins after barrier R, and
+    every session the grown ring routes to it is captured, retired by
+    its donor, and resumed by the joiner from its checkpointed request
+    position (``sessions_migrated`` in the pooled report).
     """
-    from repro.fleet.ring import HashRing
     from repro.fleet.sharding import ShardRecovery, ShardTask, run_sharded
     from repro.fleet.transport import PipeTransport, TcpTransport
     from repro.predictors.shared import SharedTransitionPrior
@@ -1093,18 +997,13 @@ def run_fleet_sharded(
     if static:
         horizon = max(t.duration_s for t in traces)
     else:
-        # Same arithmetic as SessionManager.horizon_s over the same
-        # (pure-function-of-seed) global plan the workers will build.
-        arrival = fleet_env.arrival
-        wait_s = 0.0
-        if arrival.max_concurrent is not None and arrival.patience_s > 0:
-            wait_s = arrival.patience_s
-        horizon = 0.0
-        for plan in arrival.plan(fleet_env.num_sessions):
-            span = traces[plan.index].duration_s
-            if plan.dwell_s is not None:
-                span = min(span, plan.dwell_s)
-            horizon = max(horizon, plan.arrival_s + wait_s + span)
+        # SessionManager.horizon_s over the same (pure-function-of-seed)
+        # global plan the workers will build.
+        horizon = plan_horizon_s(
+            fleet_env.arrival,
+            fleet_env.arrival.plan(fleet_env.num_sessions),
+            lambda i: traces[i].duration_s,
+        )
     until = horizon + drain_s
 
     chaos = fleet_env.chaos
@@ -1116,9 +1015,10 @@ def run_fleet_sharded(
         checkpoint = None
     # Barriers exist for prior delta sync — and for worker-crash chaos,
     # which needs sync rounds both as crash anchors and as the points a
-    # replacement worker can rejoin from (non-prior workers exchange
-    # ``None``: a pure liveness barrier) — and for checkpoint capture
-    # and graceful drain, which anchor to the same rounds.
+    # replacement worker can rejoin from (non-prior workers offer an
+    # all-``None`` payload: a pure liveness barrier) — and for
+    # checkpoint capture and graceful drain, which anchor to the same
+    # rounds.
     want_barriers = (
         (predictor == "shared-markov")
         or (chaos is not None and (chaos.has_worker_faults or chaos.has_drain))
@@ -1226,7 +1126,11 @@ def run_fleet_sharded(
         warm_path = temp_prior.name
         temp_files.append(temp_prior.name)
 
-    heartbeat_s = SHARD_HEARTBEAT_S if supervision is not None else None
+    # Liveness beacons only when supervision listens for them: without a
+    # heartbeat timeout the coordinator would discard every one.
+    heartbeat_s = (
+        SHARD_HEARTBEAT_S if supervision.heartbeat_timeout_s is not None else None
+    )
 
     def make_task(
         k: int,
@@ -1272,16 +1176,9 @@ def run_fleet_sharded(
     coord_state: dict = {"prior": None, "merged": 0}
     store = CheckpointStore() if checkpoint is not None else None
 
-    # Elastic-membership bookkeeping.  ``join_state["moved"]`` collects
-    # the SessionCheckpoint payloads donors ship at the join barrier;
-    # ``pending_ctrl`` holds adoption orders for lost shards' sessions
-    # until the next ``peers`` broadcast carries them; ``adoption_log``
-    # tracks, per lost shard, whether every order actually reached a
-    # live survivor (undelivered ⇒ the legacy re-absorb fallback runs).
+    # Mid-run join bookkeeping: ``join_state["moved"]`` collects the
+    # SessionCheckpoint payloads donors ship at the join barrier.
     join_state: dict = {"moved": {}, "joined": False, "route": (), "traces": None}
-    pending_ctrl: dict[int, list[dict]] = {}
-    adopt_orders_by_target: dict[int, list[dict]] = {}
-    adoption_log: dict[int, dict] = {}
 
     def ensure_coord_prior(n: int) -> "SharedTransitionPrior":
         if coord_state["prior"] is None:
@@ -1308,7 +1205,7 @@ def run_fleet_sharded(
             delta, ckpt = unwrap_sync_payload(offer)
             if ckpt is not None and store is not None:
                 store.put(ckpt)
-            order = migrate_out_of(offer)
+            order = offer["migrate_out"]
             if order is not None:
                 # A donor announcing sessions bound for the joiner:
                 # remember each session's checkpointed position so the
@@ -1392,12 +1289,6 @@ def run_fleet_sharded(
         )
         if shard == num_shards and join_state["joined"]:
             task = _joinerize(task)
-        orders = adopt_orders_by_target.get(shard)
-        if orders:
-            # The predecessor adopted a lost shard's sessions; its
-            # replacement must re-adopt them (as a deterministic
-            # pre-step) or they would silently vanish with the restart.
-            task.spec.adopt_orders = tuple(orders)
         if seed_path is not None:
             task.spec.shared_prior_path = os.fspath(seed_path)
         if store is not None:
@@ -1409,66 +1300,6 @@ def run_fleet_sharded(
     recovery = ShardRecovery()
     reabsorbed: list[int] = []
 
-    def on_lost(lost_shard: int, next_round: int) -> None:
-        """Plan adoption of a shard lost past its restart budget.
-
-        The dead shard's last checkpoint is split by a consistent-hash
-        ring over the surviving membership — consistent hashing keeps
-        every survivor's own sessions where they are; only the dead
-        member's ranges reassign — and each survivor receives, in the
-        very next ``peers`` broadcast, an adoption order for the
-        sessions the shrunken ring routes to it.  Shards that cannot be
-        migrated (no checkpoint, no barrier left to carry the orders,
-        churn fleets, drain runs) fall through to the legacy re-absorb
-        epilogue.
-        """
-        if store is None or not static or drained_at_round is not None:
-            return
-        if next_round >= len(sync_points):
-            return  # no broadcast left to carry the orders
-        latest = store.latest(lost_shard)
-        if latest is None:
-            return
-        ring = HashRing(range(num_shards))
-        if join_state["joined"]:
-            ring.add(num_shards)
-        for dead in set(recovery.lost_shards):
-            if dead in ring:
-                ring.remove(dead)
-        if len(ring) == 0:
-            return
-        at_s = sync_points[next_round]
-        moved_away = set(join_state["moved"])
-        assign: dict[int, list[int]] = {}
-        for sc in latest.sessions:
-            if sc.index in moved_away:
-                continue  # already donated to the joiner pre-crash
-            assign.setdefault(ring.route(sc.index), []).append(sc.index)
-        payload = latest.to_payload()
-        planned = 0
-        for target, indices in sorted(assign.items()):
-            pending_ctrl.setdefault(target, []).append(
-                {
-                    CTRL_KEY: "adopt",
-                    "from_shard": lost_shard,
-                    "checkpoint": payload,
-                    "indices": indices,
-                    "at_s": at_s,
-                }
-            )
-            planned += 1
-        if planned:
-            adoption_log[lost_shard] = {"orders": planned, "delivered": 0}
-
-    def control(round_index: int, shard: int) -> list:
-        orders = pending_ctrl.pop(shard, [])
-        for order in orders:
-            adoption_log[order["from_shard"]]["delivered"] += 1
-            # Remember what this worker adopted: its own replacement,
-            # should it later crash, must re-adopt as a pre-step.
-            adopt_orders_by_target.setdefault(shard, []).append(order)
-        return orders
-
     try:
         tasks = [make_task(k, sync_points, 0) for k in range(num_shards)]
         shards = run_sharded(
@@ -1477,12 +1308,10 @@ def run_fleet_sharded(
             timeout_s=timeout_s,
             on_round=on_round,
             supervision=supervision,
-            respawn=respawn if supervision is not None else None,
+            respawn=respawn,
             recovery=recovery,
             transport=transport_obj,
             before_round=before_round,
-            on_lost=on_lost if supervision is not None else None,
-            control=control if supervision is not None else None,
             join_at_round=join_at_round,
             make_joiner=make_joiner if join_at_round is not None else None,
         )
@@ -1490,39 +1319,21 @@ def run_fleet_sharded(
         # Re-absorb shards lost past the restart budget: with
         # checkpointing on, the coordinator holds each lost shard's last
         # checkpoint and crowd state, so its slice can run to completion
-        # as a barrier-free single task (the first step toward elastic
-        # resharding).  The per-origin CRDT merge dedups its prior
-        # contribution against everything already pooled.  Drain runs
-        # skip this: the written bundle keeps the lost shard's last
-        # checkpoint for the --checkpoint-in restart instead.
-        migrated_shards = {
-            k for k, v in adoption_log.items() if v["delivered"] > 0
-        }
+        # as a barrier-free single task, built by the same ``respawn``
+        # factory supervision uses (a lost joiner keeps its route and
+        # suffix traces; a lost donor re-retires what it donated).  The
+        # per-origin CRDT merge dedups its prior contribution against
+        # everything already pooled.  Drain runs skip this: the written
+        # bundle keeps the lost shard's last checkpoint for the
+        # --checkpoint-in restart instead.
         if store is not None and drained_at_round is None:
             for k in recovery.lost_shards:
-                if k in migrated_shards:
-                    # Survivors adopted this shard's sessions mid-run;
-                    # re-running its slice would double-serve them.
-                    continue
-                seed_path = seed_prior_path()
-                salvage = make_task(
-                    k, (), attempts[k] + 1, first_round=len(sync_points)
-                )
-                if seed_path is not None:
-                    salvage.spec.shared_prior_path = os.fspath(seed_path)
-                latest = store.latest(k)
-                if latest is not None:
-                    salvage.spec.restore = latest
-                salvage_task = ShardTask(
-                    entry=salvage.entry,
-                    spec=salvage.spec,
-                    shard=0,
-                    num_shards=1,
-                    heartbeat_interval_s=heartbeat_s,
+                salvage = replace(
+                    respawn(k, len(sync_points)), shard=0, num_shards=1
                 )
                 try:
                     shards[k] = run_sharded(
-                        [salvage_task], sync_rounds=0, timeout_s=timeout_s
+                        [salvage], sync_rounds=0, timeout_s=timeout_s
                     )[0]
                 except Exception:
                     continue  # still lost; the pooled report says so
@@ -1537,13 +1348,7 @@ def run_fleet_sharded(
                 if s is not None and s["prior_n"] is not None
             ]
             if prior_ns:
-                pooled_prior = coord_state["prior"]
-                if pooled_prior is None:
-                    pooled_prior = (
-                        SharedTransitionPrior.load(warm_path, n=prior_ns[0])
-                        if warm_path is not None
-                        else SharedTransitionPrior(prior_ns[0])
-                    )
+                pooled_prior = ensure_coord_prior(prior_ns[0])
                 for s in shards:
                     if s is not None and s["prior_delta"] is not None:
                         transitions_merged += pooled_prior.merge_delta(
@@ -1571,23 +1376,7 @@ def run_fleet_sharded(
         return owned
 
     lost_shard_list = [k for k in recovery.lost_shards if k not in reabsorbed]
-    # Sessions on a migrated shard live on in their adopters; only the
-    # indices in orders that never reached a live survivor are lost.
-    undelivered: dict[int, int] = {}
-    for orders in pending_ctrl.values():
-        for order in orders:
-            undelivered[order["from_shard"]] = undelivered.get(
-                order["from_shard"], 0
-            ) + len(order["indices"])
-    lost_sessions = sum(
-        undelivered.get(k, 0) if k in migrated_shards else len(_owned_now(k))
-        for k in lost_shard_list
-    )
-    sessions_migrated = sum(
-        len(s["migrated_in"]) for s in shards if s is not None
-    )
-    if join_state["joined"]:
-        sessions_migrated += len(join_state["route"])
+    lost_sessions = sum(len(_owned_now(k)) for k in lost_shard_list)
 
     # --checkpoint-out: fold every surviving worker's final capture in
     # (fresher than the last barrier's) and persist the bundle.
@@ -1697,10 +1486,8 @@ def run_fleet_sharded(
                 num_shards + (1 if join_state["joined"] else 0)
             )
         ],
-        # Elastic membership: sessions carried to a new owner mid-run
-        # (adopted from a lost shard, or donated to a mid-run joiner).
-        "sessions_migrated": sessions_migrated,
-        "shards_migrated": len(migrated_shards),
+        # Elastic membership: sessions donated to a mid-run joiner.
+        "sessions_migrated": len(join_state["route"]),
         "members": num_shards + (1 if join_state["joined"] else 0),
     }
     if join_state["joined"]:

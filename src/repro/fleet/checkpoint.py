@@ -26,9 +26,9 @@ Three layers:
   corrupt entries each raise a distinct, actionable :class:`ValueError`.
 * :class:`CheckpointConfig` — cadence + paths, threaded through
   :class:`~repro.experiments.configs.FleetEnvironment` and the CLI.  A
-  cadence of 0 with no paths is inert: the sharded runner's barrier
-  payloads, reports, and results are bit-identical to a run with no
-  checkpoint config at all (test-enforced).
+  cadence of 0 with no paths is inert: the sharded runner's reports
+  and results are bit-identical to a run with no checkpoint config at
+  all (test-enforced).
 """
 
 from __future__ import annotations
@@ -468,18 +468,9 @@ class CheckpointStore:
 
 # -- barrier payload wrapping ----------------------------------------
 #
-# Checkpoints ride the existing sync exchange: when capturing, a worker
-# sends {"delta": <PriorDelta|None>, "checkpoint": <ShardCheckpoint|None>}
-# instead of the bare delta.  The wrap only exists when checkpointing is
-# on — an inert config keeps the historical payloads byte-for-byte, so
-# cadence-0 runs stay bit-identical to pre-checkpoint behavior.
-
-_SYNC_KEY = "__ckpt_sync__"
-
-#: Coordinator→worker control order riding a ``peers`` broadcast (PR 10
-#: elastic resharding): survivors are told to adopt a lost shard's
-#: sessions, carried as the lost shard's last ShardCheckpoint payload.
-CTRL_KEY = "__fleet_ctrl__"
+# Every fleet worker's barrier offer has one shape: {"delta":
+# <PriorDelta|None>, "checkpoint": <ShardCheckpoint|None>, "migrate_out":
+# <join donation|None>}, with ``None`` for whatever the run does not use.
 
 
 def wrap_sync_payload(
@@ -487,30 +478,10 @@ def wrap_sync_payload(
     checkpoint: Optional[ShardCheckpoint],
     migrate_out: Optional[dict] = None,
 ) -> dict:
-    payload = {_SYNC_KEY: True, "delta": delta, "checkpoint": checkpoint}
-    if migrate_out is not None:
-        # Only present when a worker hands sessions to a joining member
-        # — absent, the wrapped payload keeps its historical shape.
-        payload["migrate_out"] = migrate_out
-    return payload
+    return {"delta": delta, "checkpoint": checkpoint, "migrate_out": migrate_out}
 
 
-def unwrap_sync_payload(payload):
-    """``(delta, checkpoint)`` from a wrapped or bare sync payload."""
-    if isinstance(payload, dict) and payload.get(_SYNC_KEY):
-        return payload.get("delta"), payload.get("checkpoint")
-    return payload, None
+def unwrap_sync_payload(payload: dict):
+    """``(delta, checkpoint)`` from a wrapped sync payload."""
+    return payload["delta"], payload["checkpoint"]
 
-
-def migrate_out_of(payload) -> Optional[dict]:
-    """The ``migrate_out`` order riding a wrapped sync payload, if any."""
-    if isinstance(payload, dict) and payload.get(_SYNC_KEY):
-        return payload.get("migrate_out")
-    return None
-
-
-def split_ctrl(peers: list) -> tuple[list, list]:
-    """Separate coordinator control orders from real peer payloads."""
-    data = [p for p in peers if not (isinstance(p, dict) and CTRL_KEY in p)]
-    ctrl = [p for p in peers if isinstance(p, dict) and CTRL_KEY in p]
-    return data, ctrl

@@ -45,7 +45,7 @@ fleet grid rather than phased per arrival.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +55,13 @@ if TYPE_CHECKING:  # avoid a lifecycle <-> fleet import cycle at runtime
     from repro.core.session import KhameleonSession
     from repro.fleet.fleet import KhameleonFleet
 
-__all__ = ["ArrivalConfig", "SessionPlan", "SessionRecord", "SessionManager"]
+__all__ = [
+    "ArrivalConfig",
+    "SessionPlan",
+    "SessionRecord",
+    "SessionManager",
+    "plan_horizon_s",
+]
 
 
 @dataclass(frozen=True)
@@ -441,23 +447,34 @@ class SessionManager:
         return [r.arrived_at for r in self.admitted_records]
 
     def horizon_s(self, trace_duration_of: Callable[[int], float]) -> float:
-        """Latest instant any planned session could still be interacting.
+        """Latest instant any planned session could still be interacting
+        (:func:`plan_horizon_s` over this manager's plan)."""
+        return plan_horizon_s(self.arrival, self.plans, trace_duration_of)
 
-        ``trace_duration_of(index)`` maps a session to its trace length;
-        the horizon is the max over sessions of arrival + min(trace,
-        dwell), plus the patience allowance when a queue can delay
-        admissions (a queued session replays its trace from the moment
-        it is finally admitted).  Rejected sessions never interact, but
-        their plans are included — rejection is decided at run time,
-        not plan time.
-        """
-        wait_s = 0.0
-        if self.arrival.max_concurrent is not None and self.arrival.patience_s > 0:
-            wait_s = self.arrival.patience_s
-        horizon = 0.0
-        for plan in self.plans:
-            span = trace_duration_of(plan.index)
-            if plan.dwell_s is not None:
-                span = min(span, plan.dwell_s)
-            horizon = max(horizon, plan.arrival_s + wait_s + span)
-        return horizon
+
+def plan_horizon_s(
+    arrival: ArrivalConfig,
+    plans: Sequence[SessionPlan],
+    trace_duration_of: Callable[[int], float],
+) -> float:
+    """Latest instant any session in ``plans`` could still be interacting.
+
+    ``trace_duration_of(index)`` maps a session to its trace length; the
+    horizon is the max over sessions of arrival + min(trace, dwell),
+    plus the patience allowance when a queue can delay admissions (a
+    queued session replays its trace from the moment it is finally
+    admitted).  Rejected sessions never interact, but their plans are
+    included — rejection is decided at run time, not plan time.  A pure
+    function of the plan, so a sharded coordinator and every worker
+    agree on the run horizon.
+    """
+    wait_s = 0.0
+    if arrival.max_concurrent is not None and arrival.patience_s > 0:
+        wait_s = arrival.patience_s
+    horizon = 0.0
+    for plan in plans:
+        span = trace_duration_of(plan.index)
+        if plan.dwell_s is not None:
+            span = min(span, plan.dwell_s)
+        horizon = max(horizon, plan.arrival_s + wait_s + span)
+    return horizon

@@ -95,8 +95,8 @@ def shard_of(key: Any, num_shards: int) -> int:
     session to different shards in the coordinator and a worker).  The
     ring, unlike the old ``crc32 % W``, keeps routing *stable under
     membership change*: going W → W±1 moves only ~1/W of the keys,
-    which is what makes mid-run joins and leaves migrate a handful of
-    sessions instead of reshuffling the whole fleet.
+    which is what makes a mid-run join migrate a handful of sessions
+    instead of reshuffling the whole fleet.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -365,7 +365,6 @@ class _Supervisor:
         respawn: Optional[Callable[[int, int], ShardTask]],
         recovery: ShardRecovery,
         transport=None,
-        on_lost: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         from .transport import PipeTransport
 
@@ -375,7 +374,6 @@ class _Supervisor:
         self.respawn = respawn
         self.recovery = recovery
         self.transport = transport if transport is not None else PipeTransport()
-        self.on_lost = on_lost
         self.procs: list[Optional[mp.process.BaseProcess]] = [None] * len(tasks)
         self.pipes: list[Optional[Any]] = [None] * len(tasks)
         self.alive = [True] * len(tasks)
@@ -464,11 +462,6 @@ class _Supervisor:
                 if self.attempts[i] > self.policy.max_restarts:
                     self.alive[i] = False
                     self.recovery.lost_shards.append(shard)
-                    if self.on_lost is not None:
-                        # Fired before this round's broadcasts, so a
-                        # migration planner can hand the lost shard's
-                        # sessions to survivors in the same round.
-                        self.on_lost(shard, next_round)
                     return None
                 self.recovery.restarts.append((shard, next_round, self.attempts[i]))
                 time.sleep(self.policy.backoff_before(self.attempts[i]))
@@ -512,8 +505,6 @@ def run_sharded(
     recovery: Optional[ShardRecovery] = None,
     transport=None,
     before_round: Optional[Callable[[int], None]] = None,
-    on_lost: Optional[Callable[[int, int], None]] = None,
-    control: Optional[Callable[[int, int], list[Any]]] = None,
     join_at_round: Optional[int] = None,
     make_joiner: Optional[Callable[[int], Optional[ShardTask]]] = None,
 ) -> list[Any]:
@@ -536,11 +527,11 @@ def run_sharded(
     workers are replaced with exponential backoff up to the policy's
     restart budget, and past it the shard is dropped: its result slot
     stays ``None``, the loss lands in ``recovery``, and the survivors
-    finish.  Only when *every* shard is lost does the call still
-    raise.
+    finish (recovering the dropped shard's work is the caller's job:
+    the sharded fleet replays it from its last checkpoint).  Only when
+    *every* shard is lost does the call still raise.
 
-    Elasticity hooks (all optional, all default-off so the PR-7/8/9
-    byte path is untouched):
+    Optional hooks (all default-off):
 
     * ``transport`` — a driver with the :class:`PipeTransport` duck
       type; default is the pipe driver, ``TcpTransport`` carries the
@@ -548,11 +539,6 @@ def run_sharded(
     * ``before_round(round_index)`` — runs before each round's
       gathers; the chaos harness uses it to cut TCP links at an exact
       barrier.
-    * ``on_lost(shard, round)`` — a shard just exhausted its restart
-      budget; fired before the round's broadcasts.
-    * ``control(round_index, shard)`` — extra coordinator→worker
-      entries appended to that worker's ``peers`` broadcast (session
-      adoption orders ride here, piggybacked on the barrier).
     * ``join_at_round``/``make_joiner`` — after that round completes,
       ``make_joiner(round_index)`` may return a :class:`ShardTask` for
       a *new* member that participates in every later barrier.
@@ -565,9 +551,7 @@ def run_sharded(
     ctx = mp.get_context("spawn")
     if recovery is None:
         recovery = ShardRecovery()
-    sup = _Supervisor(
-        ctx, tasks, supervision, respawn, recovery, transport, on_lost
-    )
+    sup = _Supervisor(ctx, tasks, supervision, respawn, recovery, transport)
     try:
         for i in range(len(tasks)):
             sup.spawn(i)
@@ -592,10 +576,6 @@ def run_sharded(
                     for j in range(n)
                     if j != i and sup.alive[j]
                 ]
-                if control is not None:
-                    peers = peers + list(
-                        control(round_index, sup.tasks[i].shard)
-                    )
                 sup.broadcast(i, ("peers", peers))
             if on_round is not None:
                 on_round(

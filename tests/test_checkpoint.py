@@ -15,8 +15,10 @@ Three layers of guarantees, strongest last:
   reports ``sessions_lost == 0`` and ``sessions_resumed >= 1``, the
   respawned shard restores in place with a *verified* digest match,
   and the pooled summary is bit-identical to an uninterrupted run of
-  the same seed.  Drain → ``--checkpoint-out`` → ``--checkpoint-in``
-  completes the lifecycle.
+  the same seed.  A shard lost past its restart budget is re-absorbed
+  from its last checkpoint with every session and request conserved.
+  Drain → ``--checkpoint-out`` → ``--checkpoint-in`` completes the
+  lifecycle.
 """
 
 import dataclasses
@@ -38,11 +40,16 @@ from repro.fleet import (
     ShardCheckpoint,
 )
 from repro.fleet.checkpoint import unwrap_sync_payload, wrap_sync_payload
+from repro.fleet.lifecycle import ArrivalConfig
+from repro.fleet.sharding import SupervisionPolicy
 from repro.workloads.image_app import ImageExplorationApp
 from repro.workloads.mouse import MouseTraceGenerator
 
 
-def small_fleet(num_sessions=6, trace_duration_s=3.0, chaos=None, checkpoint=None):
+def small_fleet(
+    num_sessions=6, trace_duration_s=3.0, chaos=None, checkpoint=None,
+    arrival=None,
+):
     app = ImageExplorationApp(rows=8, cols=8)
     traces = [
         MouseTraceGenerator(app.layout, seed=100 + i).generate(
@@ -55,6 +62,7 @@ def small_fleet(num_sessions=6, trace_duration_s=3.0, chaos=None, checkpoint=Non
         env=DEFAULT_ENV,
         chaos=chaos,
         checkpoint=checkpoint,
+        arrival=arrival,
     )
     return app, traces, fleet_env
 
@@ -312,9 +320,6 @@ class TestConfigAndStore:
         assert unwrap_sync_payload(wrap_sync_payload("delta", ckpt)) == (
             "delta", ckpt,
         )
-        # bare legacy payloads pass through untouched
-        assert unwrap_sync_payload("delta") == ("delta", None)
-        assert unwrap_sync_payload(None) == (None, None)
 
 
 class TestInertCheckpointIsInvisible:
@@ -387,6 +392,105 @@ class TestCrashRecoveryGate:
             age is not None and age >= 0
             for age in sharding["checkpoint_age_rounds"]
         )
+
+
+def trace_requests(traces):
+    return sum(1 for t in traces for e in t.events if e.request is not None)
+
+
+def reported_requests(result):
+    return sum(s.num_requests for s in result.summary.per_session if s)
+
+
+#: Lost-shard scenarios: (fleet kwargs, chaos spec, run kwargs).  Every
+#: case loses exactly one worker past a zero restart budget.
+LOSS_CASES = {
+    "crash-round-1": (
+        {"num_sessions": 6, "trace_duration_s": 3.0}, "worker-crash:1@1", {},
+    ),
+    "crash-last-round": (
+        {"num_sessions": 6, "trace_duration_s": 3.0}, "worker-crash:1@4", {},
+    ),
+    "churn": (
+        {
+            "num_sessions": 6, "trace_duration_s": 3.0,
+            "arrival": ArrivalConfig(rate_per_s=3.0, mean_dwell_s=2.0),
+        },
+        "worker-crash:1@1",
+        {},
+    ),
+    "donor-after-join": (
+        {"num_sessions": 8, "trace_duration_s": 4.0}, "worker-crash:0@3",
+        {"join_at_round": 1},
+    ),
+    "joiner-after-join": (
+        {"num_sessions": 8, "trace_duration_s": 4.0}, "worker-crash:2@3",
+        {"join_at_round": 1},
+    ),
+}
+
+_clean_runs: dict = {}
+
+
+def run_loss_case(name, predictor="kalman", chaos=True):
+    fleet_kwargs, spec, run_kwargs = LOSS_CASES[name]
+    app, traces, fleet_env = small_fleet(
+        chaos=ChaosConfig.parse(spec) if chaos else None,
+        checkpoint=CheckpointConfig(cadence_rounds=1),
+        **fleet_kwargs,
+    )
+    result = run_fleet_sharded(
+        app, traces, fleet_env, num_shards=2, predictor=predictor,
+        sync_interval_s=1.0, timeout_s=120.0,
+        supervision=SupervisionPolicy(max_restarts=0, backoff_s=0.01),
+        **run_kwargs,
+    )
+    return traces, result
+
+
+def clean_run(name):
+    """The same fleet uninterrupted (shared by cases that differ only
+    in their chaos spec)."""
+    fleet_kwargs, _spec, run_kwargs = LOSS_CASES[name]
+    key = repr((fleet_kwargs, run_kwargs))
+    if key not in _clean_runs:
+        _clean_runs[key] = run_loss_case(name, chaos=False)[1]
+    return _clean_runs[key]
+
+
+class TestLostShardConservation:
+    """A shard lost past its restart budget is re-absorbed from its last
+    checkpoint: no session and no request goes missing, and the pooled
+    summary equals the uninterrupted run's — whenever it is lost, and
+    whatever the fleet did before (churn, a mid-run join)."""
+
+    @pytest.mark.parametrize("name", sorted(LOSS_CASES))
+    def test_lost_shard_conserves_every_request(self, name):
+        traces, result = run_loss_case(name)
+        clean = clean_run(name)
+        sharding = result.diagnostics["sharding"]
+        assert sharding["sessions_lost"] == 0
+        assert sharding["shards_lost"] == 0
+        assert sharding["shards_reabsorbed"] == 1
+        assert sorted(result.session_labels, key=int) == sorted(
+            clean.session_labels, key=int
+        )
+        if result.fleet_env.arrival is None:
+            assert sorted(int(l) for l in result.session_labels) == list(
+                range(len(traces))
+            )
+            assert reported_requests(result) == trace_requests(traces)
+        assert result.summary == clean.summary
+
+    def test_shared_markov_loss_conserves_requests(self):
+        traces, result = run_loss_case("crash-last-round", "shared-markov")
+        sharding = result.diagnostics["sharding"]
+        assert sharding["sessions_lost"] == 0
+        assert sharding["shards_reabsorbed"] == 1
+        assert sorted(int(l) for l in result.session_labels) == list(
+            range(len(traces))
+        )
+        assert reported_requests(result) == trace_requests(traces)
 
 
 class TestDrainRestoreLifecycle:
